@@ -30,9 +30,11 @@ dataset sizes (DESIGN.md §3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.bmf import ReconstructionMetrics, reconstruction_metrics
 
 DEFAULT_TAU_GRID = (0.2, 0.4, 0.6, 0.8)  # the paper's basso grid
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024  # scaled stand-in for 16 GB
@@ -120,8 +122,6 @@ def asso(
     right: List[np.ndarray] = []
     if len(cand) == 0:
         empty = [np.empty(0, np.int64) for _ in range(k)]
-        if flipped:
-            return AssoResult(left=empty, right=list(empty), tau=tau, workspace_bytes=ws)
         return AssoResult(left=empty, right=list(empty), tau=tau, workspace_bytes=ws)
 
     # Signed uncovered-cell matrix: +1 reward (B=1, uncovered), -1 penalty
@@ -158,23 +158,18 @@ def asso_best_tau(
     n_right: int,
     k: int,
     *,
-    tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
-) -> AssoResult:
-    """Paper protocol: try every tau in the grid, keep the best by
-    relative Hamming gain (computed sparsely via the shared metrics)."""
-    from repro.core.bmf import reconstruction_metrics
-
-    best: AssoResult | None = None
-    best_gain = -np.inf
-    for tau in tau_grid:
+) -> Tuple[AssoResult, ReconstructionMetrics]:
+    """Paper protocol: try every tau in ``DEFAULT_TAU_GRID`` and keep the
+    best by relative Hamming gain (computed sparsely via the shared
+    metrics). Returns the best result and its metrics."""
+    best: Tuple[AssoResult, ReconstructionMetrics] | None = None
+    for tau in DEFAULT_TAU_GRID:
         res = asso(adj, n_right, k, tau=tau, budget_bytes=budget_bytes)
         mem = res.memberships
+        # left vertices past the last covered one have no memberships
         mem += [[] for _ in range(len(adj) - len(mem))]
-        gain = reconstruction_metrics(
-            adj, mem, [r.tolist() for r in res.right]
-        ).relative_hamming_gain
-        if gain > best_gain:
-            best, best_gain = res, gain
-    assert best is not None
+        met = reconstruction_metrics(adj, mem, [r.tolist() for r in res.right])
+        if best is None or met.relative_hamming_gain > best[1].relative_hamming_gain:
+            best = (res, met)
     return best

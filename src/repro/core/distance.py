@@ -1,46 +1,25 @@
 """Hamming distances over sparse binary vectors (paper §3, §5.1).
 
 Left-side vertices and SOFA centers are sparse 0/1 vectors over the
-right-side vertex set V; we represent them by their support sets (sorted
-int arrays). Two forms are provided:
+right-side vertex set V; we represent them by their support sets. The
+distance is the paper's *asymmetric weighted* Hamming distance (§5.1):
+for a center ``c`` and a point ``u``, position-wise cost is 0 when they
+agree, 1 when ``u`` has a 1 the center lacks, and ``alpha`` when the
+center has a 1 the point lacks. ``alpha = 1`` is plain (symmetric)
+Hamming distance ``|supp(x) Δ supp(y)|``, which Algorithm 1 uses.
+Smaller ``alpha`` promotes denser centers, which the paper found
+essential on sparse real-world data (they use 0.1).
 
-* plain (symmetric) Hamming distance ``d(x, y) = |supp(x) Δ supp(y)|``;
-* the paper's *asymmetric weighted* Hamming distance (§5.1): for a
-  center ``c`` and a point ``u``, position-wise cost is 0 when they
-  agree, 1 when ``u`` has a 1 the center lacks, and ``alpha < 1`` when
-  the center has a 1 the point lacks. ``alpha = 1`` recovers plain
-  Hamming. Smaller ``alpha`` promotes denser centers, which the paper
-  found essential on sparse real-world data (they use 0.1).
-
-A vectorized form computes the distance from one point to *all* centers
-at once; SOFA's inner loop (line 6 of Algorithm 2) uses it. Centers are
-kept as an int->row-index dict of supports plus per-center support sizes
-so the cost of one query is O(|supp(u)| + |C|).
+:class:`CenterIndex` computes the distance from one point to *all*
+centers at once; SOFA's inner loop (line 6 of Algorithm 2) uses it.
+Centers are kept as an inverted index plus per-center support sizes, so
+the cost of one query is O(|supp(u)| + |C|).
 """
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 DEFAULT_ALPHA = 0.1  # paper §5.1: alpha = 0.1 worked well on all datasets
-
-
-def hamming(x: Sequence[int], y: Sequence[int]) -> int:
-    """Symmetric Hamming distance between two supports."""
-    sx, sy = set(x), set(y)
-    return len(sx ^ sy)
-
-
-def asymmetric_hamming(
-    center: Sequence[int], point: Sequence[int], alpha: float = DEFAULT_ALPHA
-) -> float:
-    """Asymmetric weighted Hamming distance of a center to a point.
-
-    cost = |supp(point) \\ supp(center)| + alpha * |supp(center) \\ supp(point)|
-    """
-    sc, sp = set(center), set(point)
-    return len(sp - sc) + alpha * len(sc - sp)
 
 
 class CenterIndex:
@@ -60,60 +39,38 @@ class CenterIndex:
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
         self.alpha = float(alpha)
-        self._supports: list[np.ndarray] = []
         self._sizes: list[int] = []
-        self._alive: list[bool] = []
         self._postings: Dict[int, list[int]] = {}
-        self.n_alive = 0
 
     def add(self, support: Sequence[int]) -> int:
         """Register a new center; returns its index."""
-        idx = len(self._supports)
-        arr = np.asarray(sorted(set(int(v) for v in support)), dtype=np.int64)
-        self._supports.append(arr)
-        self._sizes.append(len(arr))
-        self._alive.append(True)
-        for v in arr.tolist():
+        idx = len(self._sizes)
+        sup = set(int(v) for v in support)
+        self._sizes.append(len(sup))
+        for v in sup:
             self._postings.setdefault(v, []).append(idx)
-        self.n_alive += 1
         return idx
 
-    def remove(self, idx: int) -> None:
-        """Mark a center dead (postings are filtered lazily at query time)."""
-        if self._alive[idx]:
-            self._alive[idx] = False
-            self.n_alive -= 1
-
-    def support(self, idx: int) -> np.ndarray:
-        return self._supports[idx]
-
-    def alive_indices(self) -> list[int]:
-        return [i for i, a in enumerate(self._alive) if a]
-
     def nearest(self, point: Sequence[int]) -> tuple[int, float]:
-        """(index, distance) of the alive center closest to ``point``.
+        """(index, distance) of the center closest to ``point``; ties go
+        to the lowest index.
 
-        Raises ValueError when no centers are alive.
+        Raises ValueError when the index holds no centers.
         """
-        if self.n_alive == 0:
+        if not self._sizes:
             raise ValueError("no centers")
         pts = set(int(v) for v in point)
         overlaps: Dict[int, int] = {}
         for v in pts:
             for ci in self._postings.get(v, ()):
-                if self._alive[ci]:
-                    overlaps[ci] = overlaps.get(ci, 0) + 1
+                overlaps[ci] = overlaps.get(ci, 0) + 1
         a = self.alpha
         base = len(pts)
         best_i, best_d = -1, float("inf")
         # Centers with zero overlap all share distance |S| + alpha*|supp(c)|;
         # among those the one with the smallest support wins, so scan sizes.
-        for ci in self.alive_indices():
-            ov = overlaps.get(ci, 0)
-            d = base + a * self._sizes[ci] - (1.0 + a) * ov
+        for ci, size in enumerate(self._sizes):
+            d = base + a * size - (1.0 + a) * overlaps.get(ci, 0)
             if d < best_d:
                 best_i, best_d = ci, d
         return best_i, max(0.0, best_d)
-
-    def __len__(self) -> int:
-        return self.n_alive

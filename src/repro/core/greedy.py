@@ -11,7 +11,7 @@ emits, per center c, the right cluster
 Theorem 1 regime (p in [1/2, .99], q <~ ps/n, |V_i| >= K log n,
 |U_i| >= K log n, pairwise |V_i Δ V_j| >= K' s) with alpha ~ 0.49*K4*s
 and theta = 0.75 p makes this recover the planted V_i exactly w.h.p.;
-tests/test_theorem1.py exercises that regime.
+tests/test_greedy.py exercises that regime.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .distance import hamming
+from .distance import CenterIndex
 from .mg import MisraGries
 
 
@@ -49,19 +49,16 @@ def greedy_cluster(
     centers: List[np.ndarray] = []
     sketches: List[MisraGries] = []
     n_assigned: List[int] = []
+    index = CenterIndex(alpha=1.0)  # alpha = 1: symmetric Hamming distance
 
     for nbrs in stream:
         x = np.asarray(nbrs, dtype=np.int64)
-        if not centers:
-            best, bestd = -1, float("inf")
-        else:
-            ds = [hamming(x, c) for c in centers]
-            best = int(np.argmin(ds))
-            bestd = ds[best]
+        best, bestd = index.nearest(x) if centers else (-1, float("inf"))
         if bestd > alpha:
             # open x as a new center; its own edges seed the sketch
             sk = MisraGries(mg_capacity)
             sk.add_all(x.tolist())
+            index.add(x)
             centers.append(x)
             sketches.append(sk)
             n_assigned.append(1)

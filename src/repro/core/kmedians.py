@@ -18,6 +18,9 @@ from typing import List, Sequence
 
 import numpy as np
 
+_N_ITER = 25  # Lloyd iterations per restart
+_N_INIT = 5   # seeded restarts; the lowest-cost labeling wins
+
 
 def _densify(points: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Stack sparse supports into a dense 0/1 matrix over their union
@@ -49,12 +52,12 @@ def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np
 
 
 def _lloyd_l1(
-    X: np.ndarray, C: np.ndarray, w: np.ndarray, n_iter: int
+    X: np.ndarray, C: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Weighted Lloyd iteration with coordinate-wise-median update and
     empty-cluster reseeding to the farthest point. Returns (labels, cost)."""
     labels = np.full(X.shape[0], -1, dtype=np.int64)
-    for it in range(n_iter):
+    for _ in range(_N_ITER):
         dists = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
         new_labels = dists.argmin(axis=1)
         mind = dists[np.arange(X.shape[0]), new_labels]
@@ -88,12 +91,10 @@ def kmedians(
     k: int,
     *,
     weights: Sequence[float] | None = None,
-    n_iter: int = 25,
-    n_init: int = 5,
     seed: int = 0,
 ) -> List[int]:
     """Cluster sparse binary points into <= k groups; returns a label per
-    point in [0, k). Runs ``n_init`` seeded restarts and keeps the lowest
+    point in [0, k). Runs ``_N_INIT`` seeded restarts and keeps the lowest
     weighted-L1-cost labeling (the O(1)-approx role of Alg. 2 line 21).
     Labels are compacted so every returned label has at least one member."""
     n = len(points)
@@ -105,9 +106,9 @@ def kmedians(
     g = np.random.default_rng(seed)
 
     best_labels, best_cost = None, float("inf")
-    for _ in range(n_init):
+    for _ in range(_N_INIT):
         C = _seed_pp(X, k, w, g)
-        labels, cost = _lloyd_l1(X, C, w, n_iter)
+        labels, cost = _lloyd_l1(X, C, w)
         if cost < best_cost:
             best_labels, best_cost = labels, cost
     labels = best_labels

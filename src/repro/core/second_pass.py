@@ -11,9 +11,12 @@ Two variants, matching the paper:
   (§5.3 uses them to prune down to the k best clusters when the
   k-Medians postprocessing step was skipped).
 
-Both are embarrassingly parallel over u — the Spark implementation in
-``repro.spark.second_pass_df`` fans them out; this module is the
-sequential reference used inside partitions and in unit tests.
+Both are embarrassingly parallel over u — ``repro.spark.second_pass_df``
+fans them out over Spark. Both use an inverted index (right vertex →
+clusters containing it), so one vertex costs
+O(deg(u) * clusters-per-right-vertex) instead of O(k * s); the set-based
+transcriptions of the definitions live in ``tests/reference.py``, and
+the tests require exact agreement with them.
 """
 from __future__ import annotations
 
@@ -21,34 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 import numpy as np
-
-
-def score(a: set, x: set, y: set) -> int:
-    """The §4.2 covering score: reward newly covered elements of x,
-    penalize fresh over-cover outside x ∪ y."""
-    return len((x - y) & a) - len(a - (x | y))
-
-
-def assign_left_biclustering(
-    stream: Iterable[Sequence[int]],
-    right_clusters: Sequence[Sequence[int]],
-) -> List[int]:
-    """§4.1: one cluster index per left vertex (argmax relative overlap).
-
-    Empty right clusters never win (relative overlap treated as -inf);
-    a vertex with zero overlap everywhere still gets the argmax (index
-    of the first maximal ratio, i.e. 0 overlap / size), matching the
-    paper's formulation where every u is assigned somewhere.
-    """
-    vsets = [set(int(v) for v in vc) for vc in right_clusters]
-    sizes = np.asarray([max(1, len(s)) for s in vsets], dtype=np.float64)
-    out: List[int] = []
-    for nbrs in stream:
-        gu = set(int(v) for v in nbrs)
-        ratios = np.asarray([len(gu & s) for s in vsets], dtype=np.float64) / sizes
-        ratios[[i for i, s in enumerate(vsets) if not s]] = -np.inf
-        out.append(int(np.argmax(ratios)))
-    return out
 
 
 @dataclass
@@ -60,36 +35,6 @@ class BmfAssignment:
     choice_scores: List[List[float]]  # per vertex, score of each chosen cluster
     # memberships[u] is sorted by cluster id; choice_scores[u] is aligned
     # with it (the score each cluster contributed when it was picked).
-
-
-def assign_left_bmf(
-    stream: Iterable[Sequence[int]],
-    right_clusters: Sequence[Sequence[int]],
-) -> BmfAssignment:
-    """§4.2 greedy cover: per u, repeatedly add the positive-score argmax
-    cluster until none has positive score."""
-    vsets = [set(int(v) for v in vc) for vc in right_clusters]
-    totals = np.zeros(len(vsets), dtype=np.float64)
-    memberships: List[List[int]] = []
-    choice_scores: List[List[float]] = []
-    for nbrs in stream:
-        x = set(int(v) for v in nbrs)
-        y: set = set()
-        chosen: List[tuple[int, float]] = []
-        avail = set(range(len(vsets)))
-        while avail:
-            scores = {i: score(vsets[i], x, y) for i in avail}
-            i_star = max(scores, key=lambda i: (scores[i], -i))
-            if scores[i_star] <= 0:
-                break
-            chosen.append((i_star, float(scores[i_star])))
-            totals[i_star] += scores[i_star]
-            y |= vsets[i_star]
-            avail.discard(i_star)
-        chosen.sort()
-        memberships.append([c for c, _ in chosen])
-        choice_scores.append([s for _, s in chosen])
-    return BmfAssignment(memberships, totals, choice_scores)
 
 
 def prune_to_top_k(
@@ -104,14 +49,6 @@ def prune_to_top_k(
     order = np.argsort(-cluster_scores, kind="stable")[:k]
     kept = [np.asarray(sorted(right_clusters[i]), dtype=np.int64) for i in order]
     return kept, [int(i) for i in order]
-
-
-# ---------------------------------------------------------------------------
-# Fast implementations (inverted-index). Semantically identical to the
-# reference implementations above — tests assert exact agreement — but
-# O(deg(u) * clusters-per-right-vertex) per vertex instead of O(k * s),
-# which is what makes the wiki-scale harness runs tractable.
-# ---------------------------------------------------------------------------
 
 
 def _build_inverted(right_clusters: Sequence[Sequence[int]]):
@@ -131,8 +68,13 @@ def assign_left_biclustering_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
 ) -> List[int]:
-    """Inverted-index version of :func:`assign_left_biclustering`;
-    identical output (same argmax tie-breaking: first maximal index)."""
+    """§4.1: one cluster index per left vertex, the argmax of the relative
+    overlap ``|Γ(u) ∩ Ṽ_i| / |Ṽ_i|`` (ties: the lowest index).
+
+    Empty right clusters never win. A vertex with zero overlap everywhere
+    still gets the argmax, the first non-empty cluster, matching the
+    paper's formulation where every u is assigned somewhere.
+    """
     inv, vsets, sizes = _build_inverted(right_clusters)
     k = len(vsets)
     if k == 0:
@@ -154,20 +96,11 @@ def assign_left_biclustering_fast(
         if not touched:
             out.append(default)
             continue
-        # among touched clusters ratio > 0; untouched are 0 (or -inf when
-        # empty). The reference argmax scans index order, so the winner is
-        # the smallest index among maximal ratios — unless the max ratio
-        # is <= 0, which cannot happen here since touched ratios are > 0.
         best_i, best_r = -1, -1.0
         for ci in sorted(touched):
             r = ov[ci] / fsizes[ci]
             if r > best_r + 1e-15:
                 best_i, best_r = ci, r
-        # an untouched cluster can still win in the reference only when
-        # every ratio is 0; touched ratios are positive, except... they
-        # can't be: ov >= 1. But index-order: reference argmax returns the
-        # first index attaining the max; if cluster 3 (touched) has the max
-        # and clusters 0-2 have ratio 0, argmax returns 3. Matches.
         out.append(best_i)
         for ci in touched:
             ov[ci] = 0
@@ -178,8 +111,10 @@ def assign_left_bmf_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
 ) -> BmfAssignment:
-    """Inverted-index version of :func:`assign_left_bmf` (identical
-    output). Per vertex it maintains, for every cluster c,
+    """§4.2 greedy cover: per u, repeatedly add the cluster with the
+    highest positive ``score(V_c | X, Y)`` (ties: the lowest index) until
+    none has a positive score. Per vertex it maintains, for every
+    cluster c,
 
         A_c = |V_c ∩ (X \\ Y)|   (reward term)
         B_c = |V_c \\ (X ∪ Y)|   (penalty term)
@@ -207,7 +142,6 @@ def assign_left_bmf_fast(
         # (otherwise score = -|V_c \ Y| <= 0, never chosen)
         cand = {ci: (int(A[ci]), int(sizes[ci] - A[ci])) for ci in touched}
         y: set = set()
-        in_y_count = {ci: 0 for ci in cand}  # |V_c ∩ (Y \ X)| adjustments
         chosen: List[tuple[int, float]] = []
         while cand:
             best_i, best_s = -1, None

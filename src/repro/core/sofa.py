@@ -102,7 +102,11 @@ class SofaResult:
         return b
 
 
-def _as_support(nbrs: Sequence[int]) -> np.ndarray:
+def _as_support(nbrs: Optional[Sequence[int]]) -> np.ndarray:
+    """Sorted distinct neighbour ids; a null neighbour array (a Spark row
+    whose ``neighbors`` is null) is the empty support."""
+    if nbrs is None:
+        nbrs = ()
     return np.asarray(sorted(set(int(v) for v in nbrs)), dtype=np.int64)
 
 
@@ -133,8 +137,9 @@ class SofaEngine:
         return self.lb / (self.params.k * (1.0 + math.log(max(2, m_est))))
 
     # -- stream interface ---------------------------------------------------
-    def push(self, nbrs: Sequence[int]) -> None:
-        """Feed the next fresh vertex (weight 1, sketch = its own edges)."""
+    def push(self, nbrs: Optional[Sequence[int]]) -> None:
+        """Feed the next fresh vertex (weight 1, sketch = its own edges);
+        ``None`` is a vertex without edges."""
         sup = _as_support(nbrs)
         sk = MisraGries(self.params.mg_capacity)
         sk.add_all(sup.tolist())

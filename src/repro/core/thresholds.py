@@ -61,9 +61,6 @@ def _binom_logpmf(c: float, w: float, prob: float) -> float:
 def auto_theta(
     counter_sets: Iterable[Sequence[float]],
     weights: Sequence[float],
-    *,
-    p_grid: Sequence[float] = _P_GRID,
-    q_grid: Sequence[float] = _Q_GRID,
 ) -> Tuple[float, float, float]:
     """sofa-auto: pick (p*, q*) maximizing the hard-assignment likelihood
     of the observed MG counters; return (theta*, p*, q*).
@@ -74,8 +71,8 @@ def auto_theta(
     counter_sets = [np.asarray(cs, dtype=np.float64) for cs in counter_sets]
     weights = [float(w) for w in weights]
     best = (-math.inf, 0.5, 0.01)
-    for p in p_grid:
-        for q in q_grid:
+    for p in _P_GRID:
+        for q in _Q_GRID:
             if q >= p:
                 continue
             ll = 0.0

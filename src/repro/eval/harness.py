@@ -41,7 +41,7 @@ from pyspark.sql import SparkSession
 from repro.baselines.asso import (
     DEFAULT_TAU_GRID,
     MemoryBudgetExceeded,
-    asso,
+    asso_best_tau,
     estimate_workspace_bytes,
 )
 from repro.baselines.reduction import rs_dhillon, rs_zha
@@ -50,7 +50,7 @@ from repro.core.second_pass import assign_left_bmf_fast, prune_to_top_k
 from repro.core.sofa import SofaParams, SofaResult
 from repro.core.thresholds import LINE_SEARCH_THETAS, auto_theta_from_groups
 from repro.eval.datasets import load_dataset
-from repro.eval.memory import membership_bytes
+from repro.eval.memory import membership_bytes, sofa_memory_bytes
 from repro.spark.distributed_sofa import distributed_sofa
 from repro.synth_data import BipartiteGraph, to_spark_stream
 
@@ -145,7 +145,6 @@ def _run_sofa(
             best = (gain, recall, th)
             best_mem = memberships
     seconds = pass_seconds + (time.perf_counter() - t0)
-    mem = result.state_bytes() + membership_bytes(best_mem)
     return CellResult(
         dataset=dataset,
         algorithm="sofa-auto" if auto else "sofa",
@@ -153,7 +152,7 @@ def _run_sofa(
         gain=float(best[0]),
         recall=float(best[1]),
         seconds=seconds,
-        memory_bytes=mem,
+        memory_bytes=sofa_memory_bytes(result, best_mem),
         note=f"theta={best[2]}",
     )
 
@@ -161,19 +160,9 @@ def _run_sofa(
 def _run_basso(dataset: str, k: int) -> CellResult:
     graph = load_dataset(dataset)
     t0 = time.perf_counter()
-    best_gain, best_recall = -np.inf, -np.inf
     ws = estimate_workspace_bytes(graph.n_left, graph.n_right)
     try:
-        for tau in DEFAULT_TAU_GRID:
-            res = asso(graph.adj, graph.n_right, k, tau=tau, budget_bytes=ASSO_BUDGET)
-            mems = res.memberships
-            mems += [[] for _ in range(graph.n_left - len(mems))]
-            met = reconstruction_metrics(
-                graph.adj, mems, [r.tolist() for r in res.right]
-            )
-            if met.relative_hamming_gain > best_gain:
-                best_gain = met.relative_hamming_gain
-                best_recall = met.recall
+        _, met = asso_best_tau(graph.adj, graph.n_right, k, budget_bytes=ASSO_BUDGET)
     except MemoryBudgetExceeded:
         return CellResult(
             dataset=dataset, algorithm="basso", k=k,
@@ -185,7 +174,7 @@ def _run_basso(dataset: str, k: int) -> CellResult:
     seconds = (time.perf_counter() - t0) / len(DEFAULT_TAU_GRID)
     return CellResult(
         dataset=dataset, algorithm="basso", k=k,
-        gain=float(best_gain), recall=float(best_recall),
+        gain=float(met.relative_hamming_gain), recall=float(met.recall),
         seconds=seconds, memory_bytes=ws,
     )
 

@@ -19,22 +19,20 @@ workspace exploding past its budget on the largest dataset.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.core.sofa import SofaResult
 
 
 def sofa_memory_bytes(
-    result: SofaResult, memberships: Sequence[Sequence[int]] | None = None
+    result: SofaResult, memberships: Sequence[Sequence[int]]
 ) -> int:
-    """First-pass state + (optional) second-pass output state."""
-    b = result.state_bytes()
-    if memberships is not None:
-        b += sum(8 * max(1, len(m)) for m in memberships)
-    return b
+    """First-pass state + second-pass output state."""
+    return result.state_bytes() + membership_bytes(memberships)
 
 
 def membership_bytes(memberships: Sequence[Sequence[int]]) -> int:
+    """One 8-byte slot per membership, at least one per left vertex."""
     return sum(8 * max(1, len(m)) for m in memberships)
 
 

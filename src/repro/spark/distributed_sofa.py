@@ -57,7 +57,7 @@ def _partition_runner(params: SofaParams):
         rows = rows.sort_values("u")
         eng = SofaEngine(params, m_hint=len(rows))
         for nbrs in rows["neighbors"]:
-            eng.push([int(v) for v in nbrs])
+            eng.push(nbrs)
         out = {
             "support": [],
             "weight": [],
@@ -78,14 +78,13 @@ def _partition_runner(params: SofaParams):
 
 
 def collect_partition_coresets(
-    stream_df: DataFrame, params: SofaParams, *, num_partitions: Optional[int] = None
+    stream_df: DataFrame, params: SofaParams
 ) -> list[CenterState]:
-    """First stage: run SOFA inside each partition, return the union of
-    the per-partition coresets as CenterState objects on the driver."""
-    df = stream_df
-    if num_partitions is not None:
-        df = df.repartition(num_partitions, "u")
-    rows = df.mapInPandas(_partition_runner(params), schema=_CORESET_SCHEMA).collect()
+    """First stage: run SOFA inside each partition of ``stream_df`` (its
+    partitioning is the caller's, see ``to_spark_stream``), return the
+    union of the per-partition coresets as CenterState objects on the
+    driver."""
+    rows = stream_df.mapInPandas(_partition_runner(params), schema=_CORESET_SCHEMA).collect()
     states = []
     for r in rows:
         sk = MisraGries.from_tuples(
@@ -107,14 +106,11 @@ def distributed_sofa(
     stream_df: DataFrame,
     params: SofaParams,
     *,
-    num_partitions: Optional[int] = None,
     m_hint: Optional[int] = None,
 ) -> SofaResult:
     """Full distributed first pass: partition-level SOFA, driver merge,
     shared postprocessing. Returns the same SofaResult as sofa_pass."""
-    states = collect_partition_coresets(
-        stream_df, params, num_partitions=num_partitions
-    )
+    states = collect_partition_coresets(stream_df, params)
     # stream order across partitions: keep deterministic by sorting on
     # (weight desc) so heavy coreset centers are seen first — improves
     # merge stability and is permitted because coreset order is not part

@@ -56,20 +56,23 @@ def reconstructed_cells_df(membership_df: DataFrame, clusters_df: DataFrame) -> 
 def reconstruction_metrics_df(
     edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
 ) -> SparkReconstruction:
-    """Compute gain/recall counters with three aggregates over joins."""
-    cells = reconstructed_cells_df(membership_df, clusters_df)
-    edges = edges_df.select("u", "v").distinct()
-    ones = edges.count()
-    tp = edges.join(cells, ["u", "v"]).count()
-    fp = cells.join(edges, ["u", "v"], "left_anti").count()
-    return SparkReconstruction(ones=ones, true_positives=tp, false_positives=fp)
+    """Compute the gain/recall counters with one collect of
+    :func:`metrics_summary_df`."""
+    row = metrics_summary_df(edges_df, membership_df, clusters_df).collect()[0]
+    # sums over an empty join are null: no edges and no cells count zero
+    return SparkReconstruction(
+        ones=int(row["ones"] or 0),
+        true_positives=int(row["tp"] or 0),
+        false_positives=int(row["fp"] or 0),
+    )
 
 
 def metrics_summary_df(
     edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
 ) -> DataFrame:
-    """Single-row DataFrame (ones, tp, fp, gain, recall) — the oracle-
-    checkable form used by tests (one Catalyst plan, one collect)."""
+    """Single-row DataFrame of the counters (ones, tp, fp): one Catalyst
+    plan over a full outer join of B's edges with B̃'s cells. Gain and
+    recall follow from them (:class:`SparkReconstruction`)."""
     cells = reconstructed_cells_df(membership_df, clusters_df)
     edges = edges_df.select("u", "v").distinct()
     both = edges.withColumn("in_b", F.lit(1)).join(

@@ -8,7 +8,7 @@ vertices, so they map cleanly onto Catalyst:
   aggregate overlap counts per (u, cluster), rank by relative overlap
   with a window, keep rank 1. Vertices with zero overlap everywhere are
   attached to the lowest-indexed non-empty cluster (the sequential
-  reference's argmax tie-break). The whole plan is shuffle-joins +
+  pass's argmax tie-break). The whole plan is shuffle-joins +
   window — no Python UDFs.
 
 * **BMF greedy cover** (§4.2) is an iterative per-vertex loop, so it is
@@ -26,6 +26,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession, Window
 
 from repro.core.second_pass import assign_left_bmf_fast
+from repro.spark.stream_df import edges_from_stream
 
 
 def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]]) -> DataFrame:
@@ -48,7 +49,7 @@ def assign_left_biclustering_df(
     stream_df: DataFrame, clusters_df: DataFrame
 ) -> DataFrame:
     """§4.1 as a Catalyst plan. Returns (u BIGINT, cluster BIGINT)."""
-    edges = stream_df.select("u", F.explode("neighbors").alias("v"))
+    edges = edges_from_stream(stream_df)
     sizes = clusters_df.groupBy("cluster").agg(F.count("*").alias("csize"))
     overlap = (
         edges.join(clusters_df, "v")
@@ -64,7 +65,7 @@ def assign_left_biclustering_df(
         .select("u", "cluster")
     )
     # zero-overlap vertices: argmax over all-zero ratios = lowest-indexed
-    # non-empty cluster (matches repro.core.second_pass reference)
+    # non-empty cluster (matches core.second_pass.assign_left_biclustering_fast)
     default_cluster = sizes.agg(F.min("cluster").alias("cluster"))
     rest = (
         stream_df.select("u")
@@ -101,20 +102,3 @@ def assign_left_bmf_df(
             yield pd.DataFrame({"u": out_u, "cluster": out_c, "sc": out_s})
 
     return stream_df.mapInPandas(run, schema="u bigint, cluster bigint, sc double")
-
-
-def cluster_scores_df(membership_df: DataFrame) -> DataFrame:
-    """Total §5.3 cover score per cluster: (cluster, total_score)."""
-    return membership_df.groupBy("cluster").agg(F.sum("sc").alias("total_score"))
-
-
-def prune_membership_to_top_k(membership_df: DataFrame, k: int) -> DataFrame:
-    """§5.3: keep memberships of the k clusters with the highest total
-    score (stable: ties broken by lower cluster id)."""
-    top = (
-        cluster_scores_df(membership_df)
-        .orderBy(F.desc("total_score"), F.asc("cluster"))
-        .limit(k)
-        .select("cluster")
-    )
-    return membership_df.join(top, "cluster").select("u", "cluster", "sc")

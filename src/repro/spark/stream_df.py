@@ -22,14 +22,6 @@ def edges_from_stream(stream_df: DataFrame) -> DataFrame:
     return stream_df.select("u", F.explode("neighbors").alias("v"))
 
 
-def stream_from_edges(edges_df: DataFrame) -> DataFrame:
-    """Group an edge list back into a (u, neighbors) stream; neighbor
-    arrays are sorted so the representation is canonical."""
-    return edges_df.groupBy("u").agg(
-        F.array_sort(F.collect_list("v")).alias("neighbors")
-    )
-
-
 def degree_df(edges_df: DataFrame) -> DataFrame:
     """Left-side degrees: (u, degree)."""
     return edges_df.groupBy("u").agg(F.count("*").alias("degree"))

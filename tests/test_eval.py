@@ -1,6 +1,8 @@
 """Tests for the evaluation layer: quality measure, dataset stand-ins,
 memory accounting, and the table harness."""
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -117,7 +119,8 @@ class TestMemoryAccounting:
         from repro.core.sofa import SofaParams, sofa_pass
 
         res = sofa_pass([[1, 2]] * 10, SofaParams(k=1, c_max=4, mg_capacity=8))
-        base = sofa_memory_bytes(res)
+        base = sofa_memory_bytes(res, [])
+        assert base == res.state_bytes()
         with_mem = sofa_memory_bytes(res, [[0]] * 10)
         assert with_mem == base + 80
 
@@ -139,6 +142,20 @@ class TestWikiBassoOom:
         assert estimate_workspace_bytes(g.n_left, g.n_right) <= ASSO_BUDGET
 
 
+_CELLS_JSON = os.path.join(os.path.dirname(__file__), "..", "results", "cells.json")
+
+
+def assert_committed_cell(cell) -> None:
+    """The cell equals its row in results/cells.json exactly (all but the
+    wall time): the harness paths still compute the published tables."""
+    with open(_CELLS_JSON) as f:
+        rows = json.load(f)
+    row = next(r for r in rows if (r["dataset"], r["algorithm"], r["k"])
+               == (cell.dataset, cell.algorithm, cell.k))
+    got = (cell.gain, cell.recall, cell.memory_bytes, cell.note)
+    assert got == (row["gain"], row["recall"], row["memory_bytes"], row["note"])
+
+
 class TestHarness:
     """Integration: one cell per algorithm on the smallest dataset."""
 
@@ -151,6 +168,7 @@ class TestHarness:
         assert 0 < c.recall <= 1
         assert c.seconds > 0
         assert c.memory_bytes > 0
+        assert_committed_cell(c)
 
     def test_rs_cells(self):
         from repro.eval.harness import run_cell
@@ -159,6 +177,8 @@ class TestHarness:
         c2 = run_cell(None, "reuters", "rs-zha", 4)
         assert c1.ok and c2.ok
         assert c1.recall >= 0 and c2.recall >= 0
+        assert_committed_cell(c1)
+        assert_committed_cell(c2)
 
     def test_sofa_cells_share_first_pass(self, spark):
         from repro.eval import harness
@@ -171,6 +191,8 @@ class TestHarness:
         assert c1.gain > 0 and c2.gain > 0
         # line search can only improve on any single threshold choice
         assert c1.gain >= c2.gain - 0.05
+        assert_committed_cell(c1)
+        assert_committed_cell(c2)
 
     def test_wiki_basso_oom_cell(self):
         from repro.eval.harness import run_cell

@@ -1,11 +1,9 @@
-"""Tests for the DuckDB oracle itself and the provided TPC-H-lite
-generators (which back the market-basket bipartite view)."""
+"""Tests for the DuckDB oracle itself (tests/oracle.py)."""
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro import synth_data as sd
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 class TestOracle:
@@ -36,59 +34,3 @@ class TestOracle:
         got = spark.createDataFrame(pdf).groupBy("k").agg(F.count("*").alias("c"))
         assert_equivalent(got, "SELECT k, count(*) AS c FROM t GROUP BY k", t=pdf)
 
-
-class TestTpchLite:
-    def test_lineitem_shape(self, spark):
-        df = sd.lineitem(spark, sf=0.001, seed=0)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-        assert "l_shipdate" in df.columns
-
-    def test_orders_keys_dense(self, spark):
-        df = sd.orders(spark, sf=0.001, seed=1)
-        row = df.agg(
-            F.min("o_orderkey").alias("lo"), F.max("o_orderkey").alias("hi"),
-            F.count("*").alias("n"),
-        ).collect()[0]
-        assert row["lo"] == 1 and row["hi"] == row["n"]
-
-    def test_deterministic_in_seed(self, spark):
-        a = sd.customer(spark, sf=0.001, seed=2).toPandas()
-        b = sd.customer(spark, sf=0.001, seed=2).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_lineitem_join_orders_oracle(self, spark):
-        li = sd.lineitem(spark, sf=0.001, seed=0)
-        o = sd.orders(spark, sf=0.001, seed=1)
-        got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("n"))
-        )
-        assert_equivalent(
-            got,
-            "SELECT o_orderpriority, count(*) AS n FROM li "
-            "JOIN o ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-            li=li,
-            o=o,
-        )
-
-    def test_zipf_keys_skewed(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5, seed=3)
-        top = (
-            df.groupBy("k").agg(F.count("*").alias("c"))
-            .orderBy(F.desc("c")).limit(5).agg(F.sum("c").alias("s"))
-            .collect()[0]["s"]
-        )
-        assert top > 0.3 * 5000  # top-5 keys get >30% of rows
-
-    def test_uniform_keys_flat(self, spark):
-        df = sd.uniform_keys(spark, n=5000, n_keys=50, seed=4)
-        counts = [r["c"] for r in df.groupBy("k").agg(F.count("*").alias("c")).collect()]
-        assert max(counts) < 3 * min(counts)
-
-    def test_market_basket_view_uses_lineitem(self, spark):
-        g = sd.lineitem_bipartite(spark, sf=0.001, seed=0)
-        li = sd.lineitem(spark, sf=0.001, seed=0)
-        pairs = li.select("l_orderkey", "l_partkey").distinct().count()
-        assert g.n_edges == pairs

@@ -21,9 +21,14 @@ def _graph(scale: int):
 
 
 def _time(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    """Best of 3 wall times: one timing of a sub-second call moves with
+    the load other processes (such as a Spark JVM) put on the host."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 class TestScalingShape:

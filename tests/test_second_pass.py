@@ -1,15 +1,16 @@
-"""Tests for the second-pass algorithms (§4.1 biclustering, §4.2 BMF)."""
+"""Tests for the second-pass algorithms (§4.1 biclustering, §4.2 BMF) and
+the §4.2 cover score they implement."""
 import numpy as np
 import pytest
 
 from repro import synth_data as sd
 from repro.core.second_pass import (
-    assign_left_biclustering,
-    assign_left_bmf,
+    assign_left_biclustering_fast,
+    assign_left_bmf_fast,
     prune_to_top_k,
-    score,
 )
 from repro.eval.quality import jaccard_quality, labels_to_clusters
+from tests.reference import score
 
 
 class TestScore:
@@ -38,31 +39,31 @@ class TestBiclusteringAssignment:
     def test_perfect_match(self):
         clusters = [[1, 2, 3], [10, 11, 12]]
         stream = [[1, 2, 3], [10, 11], [2, 3], [11, 12]]
-        labels = assign_left_biclustering(stream, clusters)
+        labels = assign_left_biclustering_fast(stream, clusters)
         assert labels == [0, 1, 0, 1]
 
     def test_relative_overlap_wins(self):
         # u overlaps cluster0 2/10 and cluster1 1/2 -> cluster1 wins
         clusters = [list(range(10)), [100, 101]]
-        labels = assign_left_biclustering([[0, 1, 100]], clusters)
+        labels = assign_left_biclustering_fast([[0, 1, 100]], clusters)
         assert labels == [1]
 
     def test_empty_cluster_never_wins(self):
         clusters = [[], [5, 6]]
-        labels = assign_left_biclustering([[5]], clusters)
+        labels = assign_left_biclustering_fast([[5]], clusters)
         assert labels == [1]
 
     def test_no_overlap_still_assigned(self):
-        labels = assign_left_biclustering([[999]], [[1], [2]])
+        labels = assign_left_biclustering_fast([[999]], [[1], [2]])
         assert labels[0] in (0, 1)
 
     def test_empty_stream(self):
-        assert assign_left_biclustering([], [[1]]) == []
+        assert assign_left_biclustering_fast([], [[1]]) == []
 
     def test_recovers_planted_left_clusters(self):
         g = sd.bipartite_sbm(k=4, ell=30, n_right=400, r=20, p=0.9,
                              q=sd.noise_q_for_expected_degree(3, 400, 20), seed=0)
-        labels = assign_left_biclustering(
+        labels = assign_left_biclustering_fast(
             [a.tolist() for a in g.adj],
             [c.tolist() for c in g.right_clusters],  # oracle right clusters
         )
@@ -72,41 +73,41 @@ class TestBiclusteringAssignment:
 
 class TestBmfAssignment:
     def test_single_cluster_covers(self):
-        res = assign_left_bmf([[1, 2, 3]], [[1, 2, 3]])
+        res = assign_left_bmf_fast([[1, 2, 3]], [[1, 2, 3]])
         assert res.memberships == [[0]]
         assert res.cluster_scores[0] == 3
 
     def test_multi_membership(self):
-        res = assign_left_bmf([[1, 2, 10, 11]], [[1, 2], [10, 11]])
+        res = assign_left_bmf_fast([[1, 2, 10, 11]], [[1, 2], [10, 11]])
         assert res.memberships == [[0, 1]]
 
     def test_stops_on_nonpositive_score(self):
         # cluster overcovers more than it covers -> skipped
-        res = assign_left_bmf([[1]], [[1, 2, 3]])
+        res = assign_left_bmf_fast([[1]], [[1, 2, 3]])
         assert res.memberships == [[]]
 
     def test_each_cluster_used_at_most_once_per_vertex(self):
-        res = assign_left_bmf([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+        res = assign_left_bmf_fast([[1, 2, 3, 4]], [[1, 2], [3, 4]])
         assert sorted(res.memberships[0]) == [0, 1]
         assert len(res.memberships[0]) == len(set(res.memberships[0]))
 
     def test_overcover_tolerated_when_net_positive(self):
         # covers 3 of X, overcovers 1 -> net +2, should be taken
-        res = assign_left_bmf([[1, 2, 3]], [[1, 2, 3, 99]])
+        res = assign_left_bmf_fast([[1, 2, 3]], [[1, 2, 3, 99]])
         assert res.memberships == [[0]]
 
     def test_scores_accumulate_across_vertices(self):
-        res = assign_left_bmf([[1, 2]] * 5, [[1, 2]])
+        res = assign_left_bmf_fast([[1, 2]] * 5, [[1, 2]])
         assert res.cluster_scores[0] == 10
 
     def test_greedy_order_prefers_higher_score(self):
         # big cluster covers more first; then small adds the rest
         stream = [[1, 2, 3, 4, 10]]
-        res = assign_left_bmf(stream, [[10], [1, 2, 3, 4]])
+        res = assign_left_bmf_fast(stream, [[10], [1, 2, 3, 4]])
         assert res.memberships[0] == [0, 1]  # both taken, order-insensitive check
 
     def test_empty_stream(self):
-        res = assign_left_bmf([], [[1]])
+        res = assign_left_bmf_fast([], [[1]])
         assert res.memberships == []
         assert res.cluster_scores.tolist() == [0.0]
 
@@ -115,7 +116,7 @@ class TestBmfAssignment:
             n_left=200, n_right=300, k_true=5, r=15, p=0.9,
             memberships_per_left=1.5, background_deg=1.0, seed=2,
         )
-        res = assign_left_bmf(
+        res = assign_left_bmf_fast(
             [a.tolist() for a in g.adj],
             [c.tolist() for c in g.right_clusters],
         )

@@ -1,5 +1,6 @@
-"""Exact-equivalence tests: fast inverted-index second pass vs the
-reference implementations (they must agree bit-for-bit)."""
+"""Exact-equivalence tests: the inverted-index second passes vs the
+set-based reference implementations in tests/reference.py (they must
+agree bit-for-bit)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core.second_pass import (
-    assign_left_biclustering,
     assign_left_biclustering_fast,
-    assign_left_bmf,
     assign_left_bmf_fast,
 )
+from tests.reference import assign_left_biclustering, assign_left_bmf
 
 
 def random_instance(rng, m=40, n=60, k=6):

@@ -1,19 +1,17 @@
 """Tests for the Spark second pass (§4 as dataflow), oracle-checked
-against DuckDB and against the sequential reference implementation."""
+against DuckDB and against the set-based reference implementations."""
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
 from repro import synth_data as sd
-from repro.core.second_pass import assign_left_biclustering, assign_left_bmf
-from repro.oracle import assert_equivalent
 from repro.spark.second_pass_df import (
     assign_left_bmf_df,
     assign_left_biclustering_df,
-    cluster_scores_df,
     clusters_to_df,
-    prune_membership_to_top_k,
 )
+from tests.oracle import assert_equivalent
+from tests.reference import assign_left_biclustering, assign_left_bmf
 
 
 @pytest.fixture(scope="module")
@@ -135,33 +133,12 @@ class TestBmfAssignment:
             assert sorted(got.get(u, [])) == want.memberships[u]
 
     def test_cluster_scores_match_reference(self, spark, stream, graph, clusters):
+        """Per-cluster sums of the ``sc`` column are the §5.3 totals."""
         mdf = assign_left_bmf_df(stream, clusters)
         got = {
             r["cluster"]: r["total_score"]
-            for r in cluster_scores_df(mdf).collect()
+            for r in mdf.groupBy("cluster").agg(F.sum("sc").alias("total_score")).collect()
         }
         want = assign_left_bmf([a.tolist() for a in graph.adj], clusters)
         for i, s in enumerate(want.cluster_scores):
             assert got.get(i, 0.0) == pytest.approx(s)
-
-    def test_scores_aggregate_oracle(self, spark, stream, clusters):
-        mdf = assign_left_bmf_df(stream, clusters).cache()
-        mpdf = mdf.toPandas()
-        assert_equivalent(
-            cluster_scores_df(mdf),
-            "SELECT cluster, sum(sc) AS total_score FROM m GROUP BY cluster",
-            m=mpdf,
-        )
-
-    def test_prune_to_top_k(self, spark, stream, clusters):
-        mdf = assign_left_bmf_df(stream, clusters).cache()
-        pruned = prune_membership_to_top_k(mdf, 2)
-        kept = {r["cluster"] for r in pruned.select("cluster").distinct().collect()}
-        assert len(kept) <= 2
-        # kept clusters are the top-2 by total score
-        scores = {
-            r["cluster"]: r["total_score"]
-            for r in cluster_scores_df(mdf).collect()
-        }
-        top2 = sorted(scores, key=lambda c: (-scores[c], c))[:2]
-        assert kept == set(top2)

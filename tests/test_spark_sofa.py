@@ -1,18 +1,27 @@
 """Tests for the distributed SOFA operator and Structured Streaming path."""
+import json
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data as sd
-from repro.core.sofa import SofaParams, sofa_pass
+from repro.core.sofa import CenterState, SofaParams, merge_center_states, sofa_pass
 from repro.eval.quality import jaccard_quality
 from repro.spark.distributed_sofa import (
     collect_partition_coresets,
     distributed_sofa,
 )
 from repro.spark.structured import (
+    STREAM_SCHEMA,
     sofa_from_stream_dir,
     write_stream_files,
 )
+
+
+def _centers(states):
+    return [(c.support.tolist(), c.weight, c.sketch.to_tuples(), c.sketch.total)
+            for c in states]
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +114,33 @@ class TestStructuredStreaming:
         write_stream_files(g, sdir, vertices_per_file=7)  # ragged batches
         res = sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left)
         assert res.n_processed == g.n_left
+
+
+class TestNullNeighbors:
+    def test_null_row_is_an_empty_vertex_on_every_path(self, spark, tmp_path, planted, params):
+        """A row whose neighbor array is null enters SOFA as a vertex
+        without edges, alike in the sequential pass, the partition pass
+        and Structured Streaming."""
+        rows = [a.tolist() for a in planted.adj]
+        rows[5] = None
+        seq = sofa_pass(rows, params, m_hint=len(rows))
+        assert seq.n_processed == len(rows)
+
+        pdf = pd.DataFrame({"u": np.arange(len(rows), dtype=np.int64), "neighbors": rows})
+        stream = spark.createDataFrame(pdf, schema=STREAM_SCHEMA).repartition(1)
+        assert _centers(collect_partition_coresets(stream, params)) == _centers(seq.centers)
+        # distributed_sofa = driver merge of that one coreset, heaviest first
+        coreset = sorted(seq.centers, key=lambda c: -c.weight)
+        merged = merge_center_states(
+            [CenterState(c.support, c.weight, c.sketch.copy()) for c in coreset],
+            params, m_hint=len(rows))
+        dist = distributed_sofa(stream, params, m_hint=len(rows))
+        assert _centers(dist.centers) == _centers(merged.centers)
+
+        sdir = tmp_path / "null"
+        sdir.mkdir()
+        with open(sdir / "batch-000000.json", "w") as f:
+            for u, nbrs in enumerate(rows):
+                f.write(json.dumps({"u": u, "neighbors": nbrs}) + "\n")
+        streamed = sofa_from_stream_dir(spark, str(sdir), params, m_hint=len(rows))
+        assert _centers(streamed.centers) == _centers(seq.centers)

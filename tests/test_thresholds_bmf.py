@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
-from repro.core.bmf import (
-    BooleanFactors,
-    factors_from_memberships,
-    reconstruction_metrics,
-)
-from repro.core.second_pass import assign_left_bmf
+from repro.core.bmf import reconstruction_metrics
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.core.thresholds import (
     LINE_SEARCH_THETAS,
     auto_theta,
     auto_theta_from_groups,
     theta_crossing,
+)
+from tests.reference import (
+    BooleanFactors,
+    assign_left_bmf,
+    factors_from_memberships,
 )
 
 
