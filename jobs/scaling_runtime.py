@@ -18,9 +18,8 @@ import _common  # noqa: F401
 import os
 import time
 
-from repro.baselines.asso import asso
+from repro.baselines.asso import DEFAULT_BUDGET_BYTES, asso
 from repro.core.sofa import SofaParams, sofa_pass
-from repro.eval.harness import ASSO_BUDGET
 from repro.synth_data import planted_zipf_bipartite
 
 K = 8
@@ -52,7 +51,7 @@ def main() -> None:
         t_sofa = time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
-            asso(g.adj, g.n_right, K, tau=0.4, budget_bytes=8 * ASSO_BUDGET)
+            asso(g.adj, g.n_right, K, tau=0.4, budget_bytes=8 * DEFAULT_BUDGET_BYTES)
             t_basso = time.perf_counter() - t0
         except MemoryError:
             t_basso = float("nan")

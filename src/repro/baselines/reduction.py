@@ -17,6 +17,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from repro.core.distance import binary_l1, densify
+
 from .spectral import (
     SpectralResult,
     dhillon_cocluster,
@@ -46,19 +48,6 @@ class ReductionResult:
     workspace_bytes: int
 
 
-def _subgraph_matrix(
-    adj: Sequence[np.ndarray], sample: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    col_pos = {int(v): j for j, v in enumerate(cols)}
-    B = np.zeros((len(sample), len(cols)), dtype=np.float32)
-    for i, u in enumerate(sample):
-        for v in adj[int(u)]:
-            j = col_pos.get(int(v))
-            if j is not None:
-                B[i, j] = 1.0
-    return B
-
-
 def random_subgraph_clusters(
     adj: Sequence[np.ndarray],
     k: int,
@@ -81,7 +70,9 @@ def random_subgraph_clusters(
     order = sorted(deg, key=lambda v: (-deg[v], v))
     vpp = np.asarray(sorted(order[:n_tilde]), dtype=np.int64)
 
-    B = _subgraph_matrix(adj, sample, vpp)
+    # the sample over V' once; B and the leftovers' vectors are column slices
+    Xp = densify([adj[int(u)] for u in sample], vprime)
+    B = Xp[:, np.searchsorted(vprime, vpp)]
     res = method(B, k)
     clusters = labels_to_right_clusters(res.col_labels, vpp, k)
 
@@ -98,21 +89,9 @@ def random_subgraph_clusters(
                 cnt[ci] += 1
         nonempty = cnt > 0
         avg[nonempty] /= cnt[nonempty][:, None]
-        # neighborhood vectors of the leftovers over the sample, built by
-        # one sweep over the sampled adjacency (not per-leftover scans)
-        leftover_pos = {int(v): j for j, v in enumerate(leftovers)}
-        XV = np.zeros((len(leftovers), len(sample)), dtype=np.float64)
-        for i, u in enumerate(sample):
-            for v in adj[int(u)]:
-                j = leftover_pos.get(int(v))
-                if j is not None:
-                    XV[j, i] = 1.0
-        # L1 distance of binary x to real a: sum(a) + deg(x) - 2 x·a
-        dists = (
-            avg.sum(axis=1)[None, :]
-            + XV.sum(axis=1)[:, None]
-            - 2.0 * (XV @ avg.T)
-        )
+        XV = np.ascontiguousarray(
+            Xp[:, np.searchsorted(vprime, leftovers)].T, dtype=np.float64)
+        dists = binary_l1(XV, avg)
         dists[:, ~nonempty] = np.inf
         for j, v in enumerate(leftovers):
             clusters[int(np.argmin(dists[j]))].append(int(v))

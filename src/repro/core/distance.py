@@ -14,10 +14,16 @@ essential on sparse real-world data (they use 0.1).
 centers at once; SOFA's inner loop (line 6 of Algorithm 2) uses it.
 Centers are kept as an inverted index plus per-center support sizes, so
 the cost of one query is O(|supp(u)| + |C|).
+
+The static steps on a small point set (k-Medians over <= c_max centers,
+Asso, the §5.5 sample) use the dense form: :func:`densify` and the
+one-matmul all-pairs Hamming distance :func:`binary_l1`.
 """
 from __future__ import annotations
 
 from typing import Dict, Sequence
+
+import numpy as np
 
 DEFAULT_ALPHA = 0.1  # paper §5.1: alpha = 0.1 worked well on all datasets
 
@@ -74,3 +80,23 @@ class CenterIndex:
             if d < best_d:
                 best_i, best_d = ci, d
         return best_i, max(0.0, best_d)
+
+
+def densify(rows: Sequence[Sequence[int]], cols: np.ndarray) -> np.ndarray:
+    """Float32 0/1 matrix with ``X[i, j] = 1`` iff ``cols[j]`` is in
+    ``rows[i]``, over the sorted distinct ids ``cols``. Raises ValueError
+    on an id not in ``cols``."""
+    cols = np.asarray(cols, dtype=np.int64)
+    ids = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows] + [np.empty(0, np.int64)])
+    if not np.isin(ids, cols).all():
+        raise ValueError(f"ids not among the columns: {np.setdiff1d(ids, cols)[:5].tolist()}")
+    X = np.zeros((len(rows), len(cols)), dtype=np.float32)
+    X[np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.searchsorted(cols, ids)] = 1.0
+    return X
+
+
+def binary_l1(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """All-pairs ``||X[i] - C[j]||_1`` as ``|x| + |c| - 2 x.c`` (one matmul,
+    no n x k x d broadcast). Valid for 0/1 ``X`` and ``C`` in [0, 1]; exact
+    when ``C`` is 0/1 too, since every term is then an integer."""
+    return X.sum(axis=1)[:, None] + C.sum(axis=1)[None, :] - 2.0 * (X @ C.T)

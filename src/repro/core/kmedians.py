@@ -6,7 +6,10 @@ search; we use a NumPy k-means++ seeding + Lloyd iteration with an L1
 (median) update, restricted to the *union support* of the input points.
 The input is at most c_max sparse points, so densifying over their union
 support is O(c_max * s) — exactly the space budget the paper allots to
-this step (O(|C| * s)).
+this step (O(|C| * s)). Distances come from
+:func:`repro.core.distance.binary_l1` (one matmul), so no step allocates
+more than the n x k distance matrix on top of the dense points; centers
+stay 0/1, so the distances are exact integers.
 
 Points carry weights (SOFA centers accumulate the weights of everything
 assigned to them); both the assignment step and the median update are
@@ -18,28 +21,17 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .distance import binary_l1, densify
+
 _N_ITER = 25  # Lloyd iterations per restart
 _N_INIT = 5   # seeded restarts; the lowest-cost labeling wins
-
-
-def _densify(points: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sparse supports into a dense 0/1 matrix over their union
-    support. Returns (matrix, union_support)."""
-    union = np.unique(np.concatenate([np.asarray(p, dtype=np.int64) for p in points if len(p)]))\
-        if any(len(p) for p in points) else np.empty(0, dtype=np.int64)
-    col = {int(v): j for j, v in enumerate(union)}
-    X = np.zeros((len(points), len(union)), dtype=np.float64)
-    for i, p in enumerate(points):
-        for v in p:
-            X[i, col[int(v)]] = 1.0
-    return X, union
 
 
 def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np.ndarray:
     """Weighted k-means++ seeding with squared-L1 spreading."""
     n = X.shape[0]
     centers = [int(g.choice(n, p=w / w.sum()))]
-    d = np.abs(X - X[centers[0]]).sum(axis=1)
+    d = binary_l1(X, X[centers[:1]])[:, 0]
     for _ in range(1, k):
         probs = w * d**2
         s = probs.sum()
@@ -47,7 +39,7 @@ def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np
             centers.append(int(g.integers(n)))
         else:
             centers.append(int(g.choice(n, p=probs / s)))
-        d = np.minimum(d, np.abs(X - X[centers[-1]]).sum(axis=1))
+        d = np.minimum(d, binary_l1(X, X[centers[-1:]])[:, 0])
     return X[centers].copy()
 
 
@@ -58,7 +50,7 @@ def _lloyd_l1(
     empty-cluster reseeding to the farthest point. Returns (labels, cost)."""
     labels = np.full(X.shape[0], -1, dtype=np.int64)
     for _ in range(_N_ITER):
-        dists = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
+        dists = binary_l1(X, C)
         new_labels = dists.argmin(axis=1)
         mind = dists[np.arange(X.shape[0]), new_labels]
         # reseed empty clusters at the currently worst-served point
@@ -80,7 +72,7 @@ def _lloyd_l1(
             # ones > half the total weight
             ones_w = (X[mask] * wj[:, None]).sum(axis=0)
             C[j] = (ones_w > wj.sum() / 2).astype(np.float64)
-    dists = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
+    dists = binary_l1(X, C)
     labels = dists.argmin(axis=1)
     cost = float((w * dists[np.arange(X.shape[0]), labels]).sum())
     return labels, cost
@@ -102,7 +94,8 @@ def kmedians(
         return []
     k = min(k, n)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    X, _ = _densify(points)
+    union = np.unique(np.concatenate([np.asarray(p, dtype=np.int64) for p in points]))
+    X = densify(points, union).astype(np.float64)
     g = np.random.default_rng(seed)
 
     best_labels, best_cost = None, float("inf")

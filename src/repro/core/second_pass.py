@@ -16,12 +16,14 @@ fans them out over Spark. Both use an inverted index (right vertex →
 clusters containing it), so one vertex costs
 O(deg(u) * clusters-per-right-vertex) instead of O(k * s); the set-based
 transcriptions of the definitions live in ``tests/reference.py``, and
-the tests require exact agreement with them.
+the tests require exact agreement with them. A null neighbour array (a
+Spark row whose ``neighbors`` is null) is a vertex without edges, as in
+the first pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +67,7 @@ def _build_inverted(right_clusters: Sequence[Sequence[int]]):
 
 
 def assign_left_biclustering_fast(
-    stream: Iterable[Sequence[int]],
+    stream: Iterable[Optional[Sequence[int]]],
     right_clusters: Sequence[Sequence[int]],
 ) -> List[int]:
     """§4.1: one cluster index per left vertex, the argmax of the relative
@@ -88,7 +90,7 @@ def assign_left_biclustering_fast(
     ov = np.zeros(k, dtype=np.int64)
     for nbrs in stream:
         touched: List[int] = []
-        for v in set(int(x) for x in nbrs):
+        for v in (set(int(x) for x in nbrs) if nbrs is not None else ()):
             for ci in inv.get(v, ()):
                 if ov[ci] == 0:
                     touched.append(ci)
@@ -108,7 +110,7 @@ def assign_left_biclustering_fast(
 
 
 def assign_left_bmf_fast(
-    stream: Iterable[Sequence[int]],
+    stream: Iterable[Optional[Sequence[int]]],
     right_clusters: Sequence[Sequence[int]],
 ) -> BmfAssignment:
     """§4.2 greedy cover: per u, repeatedly add the cluster with the
@@ -130,7 +132,7 @@ def assign_left_bmf_fast(
     choice_scores: List[List[float]] = []
     A = np.zeros(k, dtype=np.int64)
     for nbrs in stream:
-        x = set(int(v) for v in nbrs)
+        x = set(int(v) for v in nbrs) if nbrs is not None else set()
         # A_c = |V_c ∩ X| initially (Y empty); B_c = size_c - A_c
         touched: List[int] = []
         for v in x:

@@ -57,7 +57,6 @@ from repro.synth_data import BipartiteGraph, to_spark_stream
 ALGORITHMS = ("sofa-auto", "sofa", "basso", "rs-dhillon", "rs-zha")
 
 RS_SAMPLE = 600              # paper: 15000, scaled with the datasets
-ASSO_BUDGET = 512 * 1024 * 1024  # scaled stand-in for the 16 GB workstation
 SOFA_PARTITIONS = 8
 
 
@@ -162,7 +161,7 @@ def _run_basso(dataset: str, k: int) -> CellResult:
     t0 = time.perf_counter()
     ws = estimate_workspace_bytes(graph.n_left, graph.n_right)
     try:
-        _, met = asso_best_tau(graph.adj, graph.n_right, k, budget_bytes=ASSO_BUDGET)
+        _, met = asso_best_tau(graph.adj, graph.n_right, k)
     except MemoryBudgetExceeded:
         return CellResult(
             dataset=dataset, algorithm="basso", k=k,

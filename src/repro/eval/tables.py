@@ -1,4 +1,4 @@
-"""Table rendering + a cached full-grid sweep shared by jobs/table*.py.
+"""Table rendering + the cached full-grid sweep behind jobs/tables.py.
 
 ``run_full_grid`` executes every (dataset, algorithm, k) cell of the
 paper's Tables 2–5 through the harness and caches the rows as JSON under

@@ -90,9 +90,7 @@ def assign_left_bmf_df(
         for pdf in batches:
             if pdf.empty:
                 continue
-            res = assign_left_bmf_fast(
-                ([int(v) for v in nbrs] for nbrs in pdf["neighbors"]), clusters
-            )
+            res = assign_left_bmf_fast(pdf["neighbors"], clusters)
             out_u, out_c, out_s = [], [], []
             for u, mem, scs in zip(pdf["u"], res.memberships, res.choice_scores):
                 for ci, sc in zip(mem, scs):

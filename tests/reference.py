@@ -7,6 +7,8 @@ are the oracles that pin them down:
 
 * ``hamming`` / ``asymmetric_hamming``: the distances of paper §3 and
   §5.1;
+* ``l1_broadcast``: all-pairs L1 between dense rows, the elementwise
+  form ``binary_l1`` replaces with one matrix product;
 * ``score``, ``assign_left_biclustering`` and ``assign_left_bmf``: the
   §4.1 assignment and the §4.2 greedy cover;
 * ``BooleanFactors`` / ``factors_from_memberships``: the dense factors
@@ -37,6 +39,11 @@ def asymmetric_hamming(
     """
     sc, sp = set(center), set(point)
     return len(sp - sc) + alpha * len(sc - sp)
+
+
+def l1_broadcast(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``D[i, j] = sum_d |X[i, d] - C[j, d]|`` through an n x k x d array."""
+    return np.abs(X[:, None] - C[None]).sum(axis=2)
 
 
 def score(a: set, x: set, y: set) -> int:

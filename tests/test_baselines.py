@@ -9,7 +9,6 @@ from repro.baselines.asso import (
     MemoryBudgetExceeded,
     asso,
     asso_best_tau,
-    dense_from_adj,
     estimate_workspace_bytes,
 )
 from repro.baselines.reduction import (
@@ -24,6 +23,7 @@ from repro.baselines.spectral import (
 )
 from repro.baselines.static_sofa import static_sofa
 from repro.core.bmf import reconstruction_metrics
+from repro.core.distance import densify
 from repro.core.second_pass import assign_left_bmf_fast
 from repro.eval.quality import jaccard_quality, labels_to_clusters
 
@@ -36,8 +36,8 @@ def planted():
 
 
 class TestDense:
-    def test_dense_from_adj(self):
-        B = dense_from_adj([np.array([0, 2]), np.array([], dtype=np.int64)], 4)
+    def test_densify_adjacency(self):
+        B = densify([np.array([0, 2]), np.array([], dtype=np.int64)], np.arange(4))
         assert B.tolist() == [[1, 0, 1, 0], [0, 0, 0, 0]]
 
     def test_workspace_estimate_flip_invariant(self):
@@ -55,6 +55,13 @@ class TestAsso:
         mems += [[] for _ in range(len(adj) - len(mems))]
         m = reconstruction_metrics(adj, mems, [r.tolist() for r in res.right])
         assert m.relative_hamming_gain == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_out_of_range_ids_raise(self, bad):
+        """A neighbour id outside [0, n_right) is an error, not a column
+        picked by wrap-around or an IndexError deep in NumPy."""
+        with pytest.raises(ValueError):
+            asso([np.array([0, 1]), np.array([0, bad])], 4, 1)
 
     def test_noisy_planted_good_gain(self, planted):
         res, m = asso_best_tau(planted.adj, planted.n_right, 4)

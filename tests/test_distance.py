@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import CenterIndex
-from tests.reference import asymmetric_hamming, hamming
+from repro.core.distance import CenterIndex, binary_l1
+from tests.reference import asymmetric_hamming, hamming, l1_broadcast
 
 supports = st.lists(st.integers(0, 40), max_size=20).map(lambda l: sorted(set(l)))
 
@@ -127,3 +127,23 @@ class TestCenterIndex:
             p = sorted(set(rng.integers(0, 12, rng.integers(0, 6)).tolist()))
             brute = [hamming(c, p) for c in centers]
             assert ix.nearest(p) == (int(np.argmin(brute)), min(brute))
+
+
+class TestBinaryL1:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_broadcast_exactly_on_binary_rows(self, seed):
+        g = np.random.default_rng(seed)
+        X = (g.random((40, 60)) < 0.3).astype(np.float64)
+        C = (g.random((7, 60)) < 0.3).astype(np.float64)
+        assert np.array_equal(binary_l1(X, C), l1_broadcast(X, C))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_broadcast_for_fractional_centers(self, seed):
+        """X binary, C in [0, 1] (the §5.5 average neighbourhoods)."""
+        g = np.random.default_rng(seed)
+        X = (g.random((40, 60)) < 0.3).astype(np.float64)
+        C = g.random((7, 60))
+        assert np.allclose(binary_l1(X, C), l1_broadcast(X, C))
+
+    def test_no_columns(self):
+        assert binary_l1(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [[0.0] * 2] * 3

@@ -14,7 +14,7 @@ from repro.eval.datasets import (
     PAPER_TABLE1,
     load_dataset,
 )
-from repro.eval.memory import fmt_bytes, membership_bytes, sofa_memory_bytes
+from repro.eval.memory import membership_bytes, sofa_memory_bytes
 from repro.eval.quality import jaccard, jaccard_quality, labels_to_clusters
 
 
@@ -106,12 +106,6 @@ class TestDatasets:
 
 
 class TestMemoryAccounting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(2048) == "2.00 KB"
-        assert "MB" in fmt_bytes(5 * 1024 * 1024)
-        assert "GB" in fmt_bytes(3 * 1024**3)
-
     def test_membership_bytes(self):
         assert membership_bytes([[1, 2], [], [3]]) == 8 * 2 + 8 + 8
 
@@ -127,19 +121,17 @@ class TestMemoryAccounting:
 
 class TestWikiBassoOom:
     def test_wiki_exceeds_budget(self):
-        from repro.baselines.asso import estimate_workspace_bytes
-        from repro.eval.harness import ASSO_BUDGET
+        from repro.baselines.asso import DEFAULT_BUDGET_BYTES, estimate_workspace_bytes
 
         g = load_dataset("wiki")
-        assert estimate_workspace_bytes(g.n_left, g.n_right) > ASSO_BUDGET
+        assert estimate_workspace_bytes(g.n_left, g.n_right) > DEFAULT_BUDGET_BYTES
 
     @pytest.mark.parametrize("name", [n for n in DATASET_NAMES if n != "wiki"])
     def test_others_fit_budget(self, name):
-        from repro.baselines.asso import estimate_workspace_bytes
-        from repro.eval.harness import ASSO_BUDGET
+        from repro.baselines.asso import DEFAULT_BUDGET_BYTES, estimate_workspace_bytes
 
         g = load_dataset(name)
-        assert estimate_workspace_bytes(g.n_left, g.n_right) <= ASSO_BUDGET
+        assert estimate_workspace_bytes(g.n_left, g.n_right) <= DEFAULT_BUDGET_BYTES
 
 
 _CELLS_JSON = os.path.join(os.path.dirname(__file__), "..", "results", "cells.json")

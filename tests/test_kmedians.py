@@ -1,22 +1,37 @@
 """Tests for the static k-Medians postprocessing step (Alg. 2 line 21)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.kmedians import _densify, kmedians
+from repro.core.distance import densify
+from repro.core.kmedians import kmedians
 
 
 class TestDensify:
     def test_union_support(self):
-        X, union = _densify([[1, 5], [5, 9]])
-        assert union.tolist() == [1, 5, 9]
+        X = densify([[1, 5], [5, 9]], np.array([1, 5, 9]))
+        assert X.dtype == np.float32
         assert X.shape == (2, 3)
         assert X[0].tolist() == [1, 1, 0]
         assert X[1].tolist() == [0, 1, 1]
 
     def test_all_empty(self):
-        X, union = _densify([[], []])
+        X = densify([[], []], np.empty(0, dtype=np.int64))
         assert X.shape == (2, 0)
-        assert union.size == 0
+
+    def test_empty_rows_stay_zero(self):
+        X = densify([[], [2], np.array([], dtype=np.int64)], np.array([2, 7]))
+        assert X.tolist() == [[0, 0], [1, 0], [0, 0]]
+
+    @pytest.mark.parametrize("bad", [[3], [0], [10], [-1]])
+    def test_id_missing_from_cols_raises(self, bad):
+        with pytest.raises(ValueError):
+            densify([[2], [2] + bad], np.array([2, 7]))
+
+    def test_no_cols_rejects_any_id(self):
+        with pytest.raises(ValueError):
+            densify([[], [4]], np.empty(0, dtype=np.int64))
 
 
 class TestKMedians:
@@ -73,3 +88,18 @@ class TestKMedians:
     def test_deterministic_in_seed(self):
         pts = [[i, i + 1] for i in range(20)]
         assert kmedians(pts, 3, seed=5) == kmedians(pts, 3, seed=5)
+
+    def test_peak_memory_linear_in_input(self):
+        """No n x k x |union| intermediate: 600 points over 2000 ids with
+        k=16 stay far below the 146 MiB such a float64 array would take."""
+        g = np.random.default_rng(0)
+        pts = [np.flatnonzero(g.random(2000) < 0.02) for _ in range(600)]
+        pts[0] = np.arange(2000)  # the union covers every id
+        tracemalloc.start()
+        try:
+            labels = kmedians(pts, 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(labels)) <= 16
+        assert peak < 64 * 2**20

@@ -6,12 +6,14 @@ import pandas as pd
 import pytest
 
 from repro import synth_data as sd
+from repro.core.second_pass import assign_left_biclustering_fast, assign_left_bmf_fast
 from repro.core.sofa import CenterState, SofaParams, merge_center_states, sofa_pass
 from repro.eval.quality import jaccard_quality
 from repro.spark.distributed_sofa import (
     collect_partition_coresets,
     distributed_sofa,
 )
+from repro.spark.second_pass_df import assign_left_bmf_df
 from repro.spark.structured import (
     STREAM_SCHEMA,
     sofa_from_stream_dir,
@@ -120,7 +122,8 @@ class TestNullNeighbors:
     def test_null_row_is_an_empty_vertex_on_every_path(self, spark, tmp_path, planted, params):
         """A row whose neighbor array is null enters SOFA as a vertex
         without edges, alike in the sequential pass, the partition pass
-        and Structured Streaming."""
+        and Structured Streaming, and both second passes read it the same
+        way, sequentially and through mapInPandas."""
         rows = [a.tolist() for a in planted.adj]
         rows[5] = None
         seq = sofa_pass(rows, params, m_hint=len(rows))
@@ -144,3 +147,16 @@ class TestNullNeighbors:
                 f.write(json.dumps({"u": u, "neighbors": nbrs}) + "\n")
         streamed = sofa_from_stream_dir(spark, str(sdir), params, m_hint=len(rows))
         assert _centers(streamed.centers) == _centers(seq.centers)
+
+        clusters = [c.tolist() for c in seq.right_clusters(0.5)]
+        empty = [r if r is not None else [] for r in rows]
+        assert (assign_left_biclustering_fast(rows, clusters)
+                == assign_left_biclustering_fast(empty, clusters))
+        bmf = assign_left_bmf_fast(rows, clusters)
+        ref = assign_left_bmf_fast(empty, clusters)
+        assert (bmf.memberships, bmf.choice_scores) == (ref.memberships, ref.choice_scores)
+        assert bmf.memberships[5] == []
+        got = assign_left_bmf_df(stream, clusters).toPandas()
+        assert sorted(zip(got["u"], got["cluster"], got["sc"])) == sorted(
+            (u, c, s) for u, (mem, scs) in enumerate(zip(ref.memberships, ref.choice_scores))
+            for c, s in zip(mem, scs))
