@@ -12,13 +12,16 @@ Two variants, matching the paper:
   k-Medians postprocessing step was skipped).
 
 Both are embarrassingly parallel over u — ``repro.spark.second_pass_df``
-fans them out over Spark. Both use an inverted index (right vertex →
-clusters containing it), so one vertex costs
-O(deg(u) * clusters-per-right-vertex) instead of O(k * s); the set-based
-transcriptions of the definitions live in ``tests/reference.py``, and
-the tests require exact agreement with them. A null neighbour array (a
-Spark row whose ``neighbors`` is null) is a vertex without edges, as in
-the first pass.
+fans them out over Spark. Both build the candidate clusters once per call
+as CSR arrays (cluster → columns, column → clusters); per vertex the
+overlap with every cluster is one ``np.bincount`` over the clusters of
+its columns, and each greedy cover step updates every cluster's score
+with two more, with no per-cluster Python loop. All counters are integers, so
+the results are exact; the set-based transcriptions of the definitions
+live in ``tests/reference.py``, and the tests require exact agreement
+with them. Neighbour ids go through ``distance.as_support``: a null
+neighbour array (a Spark row whose ``neighbors`` is null) is a vertex
+without edges, as in the first pass, and a negative id raises.
 """
 from __future__ import annotations
 
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
+
+from .distance import as_support
 
 
 @dataclass
@@ -53,17 +58,40 @@ def prune_to_top_k(
     return kept, [int(i) for i in order]
 
 
-def _build_inverted(right_clusters: Sequence[Sequence[int]]):
-    """v -> list of cluster ids containing v, plus cluster sizes/sets."""
-    inv: dict[int, List[int]] = {}
-    vsets = []
-    for i, vc in enumerate(right_clusters):
-        s = set(int(v) for v in vc)
-        vsets.append(s)
-        for v in s:
-            inv.setdefault(v, []).append(i)
-    sizes = np.asarray([len(s) for s in vsets], dtype=np.int64)
-    return inv, vsets, sizes
+class _Csr:
+    """The candidate clusters as CSR arrays over local column ids (the
+    distinct ids of their union): cluster -> its columns, and column ->
+    the clusters containing it, both ascending."""
+
+    def __init__(self, right_clusters: Sequence[Sequence[int]]):
+        sups = [as_support(vc) for vc in right_clusters]
+        self.k = len(sups)
+        self.sizes = np.asarray([len(s) for s in sups], dtype=np.int64)
+        self.ids, self.cl_cols = np.unique(
+            np.concatenate(sups + [np.empty(0, np.int64)]), return_inverse=True)
+        self.cl_ptr = np.concatenate([[0], np.cumsum(self.sizes)])
+        col_sizes = np.bincount(self.cl_cols, minlength=len(self.ids))
+        self.col_ptr = np.concatenate([[0], np.cumsum(col_sizes)])
+        order = np.argsort(self.cl_cols, kind="stable")
+        self.col_cl = np.repeat(np.arange(self.k), self.sizes)[order]
+
+    def columns(self, nbrs: Optional[Sequence[int]]) -> np.ndarray:
+        """Local ids of the vertex's neighbours that lie in some cluster."""
+        x = as_support(nbrs)
+        pos = np.searchsorted(self.ids, x)
+        pos = pos[pos < len(self.ids)]  # x is sorted: this keeps a prefix of x
+        return pos[self.ids[pos] == x[: len(pos)]]
+
+    def counts(self, cols: np.ndarray) -> np.ndarray:
+        """Per cluster, how many of the columns ``cols`` it contains."""
+        start, stop = self.col_ptr[cols], self.col_ptr[cols + 1]
+        lens = stop - start
+        idx = (stop - lens.cumsum()).repeat(lens) + np.arange(lens.sum())
+        return np.bincount(self.col_cl[idx], minlength=self.k)
+
+    def cluster(self, c: int) -> np.ndarray:
+        """Local column ids of cluster ``c``."""
+        return self.cl_cols[self.cl_ptr[c]:self.cl_ptr[c + 1]]
 
 
 def assign_left_biclustering_fast(
@@ -77,35 +105,16 @@ def assign_left_biclustering_fast(
     still gets the argmax, the first non-empty cluster, matching the
     paper's formulation where every u is assigned somewhere.
     """
-    inv, vsets, sizes = _build_inverted(right_clusters)
-    k = len(vsets)
-    if k == 0:
+    csr = _Csr(right_clusters)
+    if csr.k == 0:
         return []
-    fsizes = np.maximum(sizes, 1).astype(np.float64)
-    # precompute the zero-overlap default: argmax over ratios that are all
-    # 0 except -inf for empty clusters -> first non-empty cluster, else 0
-    nonempty = [i for i in range(k) if sizes[i] > 0]
-    default = nonempty[0] if nonempty else 0
+    fsizes = np.maximum(csr.sizes, 1).astype(np.float64)
+    nonempty = np.flatnonzero(csr.sizes)
+    default = int(nonempty[0]) if len(nonempty) else 0
     out: List[int] = []
-    ov = np.zeros(k, dtype=np.int64)
     for nbrs in stream:
-        touched: List[int] = []
-        for v in (set(int(x) for x in nbrs) if nbrs is not None else ()):
-            for ci in inv.get(v, ()):
-                if ov[ci] == 0:
-                    touched.append(ci)
-                ov[ci] += 1
-        if not touched:
-            out.append(default)
-            continue
-        best_i, best_r = -1, -1.0
-        for ci in sorted(touched):
-            r = ov[ci] / fsizes[ci]
-            if r > best_r + 1e-15:
-                best_i, best_r = ci, r
-        out.append(best_i)
-        for ci in touched:
-            ov[ci] = 0
+        ov = csr.counts(csr.columns(nbrs))
+        out.append(int(np.argmax(ov / fsizes)) if ov.any() else default)
     return out
 
 
@@ -121,58 +130,40 @@ def assign_left_bmf_fast(
         A_c = |V_c ∩ (X \\ Y)|   (reward term)
         B_c = |V_c \\ (X ∪ Y)|   (penalty term)
 
-    so score(V_c | X, Y) = A_c - B_c. Choosing cluster j moves the
-    elements of V_j \\ Y into Y; each moved element v decrements A_c of
-    every cluster containing v when v ∈ X, else decrements B_c.
+    so score(V_c | X, Y) = A_c - B_c, kept as one integer array. Choosing
+    cluster j moves the columns of V_j \\ Y into Y: each moved column in
+    X lowers A_c (the score drops by one) and each one outside X lowers
+    B_c (the score rises by one) for every cluster c containing it. A
+    cluster disjoint from X keeps A_c = 0, so its score is never positive,
+    and a chosen cluster ends at A_c = B_c = 0, so it is never chosen
+    twice.
     """
-    inv, vsets, sizes = _build_inverted(right_clusters)
-    k = len(vsets)
-    totals = np.zeros(k, dtype=np.float64)
+    csr = _Csr(right_clusters)
+    totals = np.zeros(csr.k, dtype=np.float64)
     memberships: List[List[int]] = []
     choice_scores: List[List[float]] = []
-    A = np.zeros(k, dtype=np.int64)
+    in_x = np.zeros(len(csr.ids), dtype=bool)
+    in_y = np.zeros(len(csr.ids), dtype=bool)
     for nbrs in stream:
-        x = set(int(v) for v in nbrs) if nbrs is not None else set()
-        # A_c = |V_c ∩ X| initially (Y empty); B_c = size_c - A_c
-        touched: List[int] = []
-        for v in x:
-            for ci in inv.get(v, ()):
-                if A[ci] == 0:
-                    touched.append(ci)
-                A[ci] += 1
-        # candidate clusters with possibly positive score must intersect X
-        # (otherwise score = -|V_c \ Y| <= 0, never chosen)
-        cand = {ci: (int(A[ci]), int(sizes[ci] - A[ci])) for ci in touched}
-        y: set = set()
+        xc = csr.columns(nbrs)
         chosen: List[tuple[int, float]] = []
-        while cand:
-            best_i, best_s = -1, None
-            for ci, (a, b) in cand.items():
-                s = a - b
-                if best_s is None or s > best_s or (s == best_s and ci < best_i):
-                    best_i, best_s = ci, s
-            if best_s is None or best_s <= 0:
-                break
-            chosen.append((best_i, float(best_s)))
-            totals[best_i] += best_s
-            # move V_best \ Y into Y and update counters of co-clusters
-            for v in vsets[best_i]:
-                if v in y:
-                    continue
-                y.add(v)
-                v_in_x = v in x
-                for cj in inv.get(v, ()):
-                    if cj not in cand:
-                        continue
-                    a, b = cand[cj]
-                    if v_in_x:
-                        cand[cj] = (a - 1, b)
-                    else:
-                        cand[cj] = (a, b - 1)
-            cand.pop(best_i, None)
+        if len(xc):
+            in_x[xc] = True
+            s = 2 * csr.counts(xc) - csr.sizes  # A - B, with B = size - A while Y is empty
+            best = int(s.argmax())
+            while s[best] > 0:
+                chosen.append((best, float(s[best])))
+                totals[best] += s[best]
+                cols = csr.cluster(best)
+                moved = cols[~in_y[cols]]
+                in_y[moved] = True
+                mx = in_x[moved]
+                s -= csr.counts(moved[mx]) - csr.counts(moved[~mx])
+                best = int(s.argmax())
+            in_x[xc] = False
+            for c, _ in chosen:
+                in_y[csr.cluster(c)] = False
         chosen.sort()
         memberships.append([c for c, _ in chosen])
-        choice_scores.append([s for _, s in chosen])
-        for ci in touched:
-            A[ci] = 0
+        choice_scores.append([sc for _, sc in chosen])
     return BmfAssignment(memberships, totals, choice_scores)

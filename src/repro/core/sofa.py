@@ -30,12 +30,13 @@ wrapper matching the paper's pseudocode interface.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .distance import DEFAULT_ALPHA, CenterIndex
+from .distance import DEFAULT_ALPHA, CenterIndex, as_support
 from .kmedians import kmedians
 from .mg import MisraGries
 
@@ -102,14 +103,6 @@ class SofaResult:
         return b
 
 
-def _as_support(nbrs: Optional[Sequence[int]]) -> np.ndarray:
-    """Sorted distinct neighbour ids; a null neighbour array (a Spark row
-    whose ``neighbors`` is null) is the empty support."""
-    if nbrs is None:
-        nbrs = ()
-    return np.asarray(sorted(set(int(v) for v in nbrs)), dtype=np.int64)
-
-
 class SofaEngine:
     """Incremental first-pass engine (Algorithm 2 lines 1–20).
 
@@ -140,7 +133,7 @@ class SofaEngine:
     def push(self, nbrs: Optional[Sequence[int]]) -> None:
         """Feed the next fresh vertex (weight 1, sketch = its own edges);
         ``None`` is a vertex without edges."""
-        sup = _as_support(nbrs)
+        sup = as_support(nbrs)
         sk = MisraGries(self.params.mg_capacity)
         sk.add_all(sup.tolist())
         self.n_processed += 1
@@ -152,15 +145,14 @@ class SofaEngine:
         self._ingest(state)
 
     def _ingest(self, item: CenterState) -> None:
-        queue: List[CenterState] = [item]
+        queue = deque([item])
         while queue:
-            it = queue.pop(0)
-            restart = self._step(it)
+            restart = self._step(queue.popleft())
             if restart:
                 # restart on (surviving centers ++ unread suffix): the
                 # centers go to the front of the queue; the unread suffix
                 # is whatever future push() calls deliver.
-                queue = self.centers + queue
+                queue.extendleft(reversed(self.centers))
                 self.centers = []
                 self._index = CenterIndex(alpha=self.params.alpha)
                 self.cost = 0.0
@@ -171,9 +163,9 @@ class SofaEngine:
     def _step(self, item: CenterState) -> bool:
         """Process one item; returns True when a restart was triggered."""
         if not self.centers:
-            d = float("inf")
+            ci, d = -1, float("inf")
         else:
-            _, d = self._index.nearest(item.support)
+            ci, d = self._index.nearest(item.support)
         p_open = 1.0 if d == float("inf") else min(item.weight * d / self._f, 1.0)
         if self._rng.random() < p_open:
             self._index.add(item.support)
@@ -181,7 +173,6 @@ class SofaEngine:
             if len(self.centers) >= self.params.c_max:
                 return True
         else:
-            ci, d = self._index.nearest(item.support)
             self.cost += item.weight * d
             self.centers[ci].weight += item.weight
             self.centers[ci].sketch.merge(item.sketch)

@@ -21,6 +21,12 @@ Two strategies, matching the paper:
   ``log max(pmf_p, pmf_q)`` (hard-assignment likelihood). This is a
   faithful re-derivation of the heuristic; the original supplement is
   not reproduced verbatim (documented substitution, DESIGN.md §3).
+
+  The binomial coefficient C(W, c) is the same for both components, so
+  it cancels from ``max(pmf_p, pmf_q)`` and adds the same constant to
+  every grid cell's likelihood: the argmax needs only
+  ``c log p + (W - c) log(1 - p)``, one NumPy row per grid probability
+  (``tests/reference.py`` keeps the ``lgamma`` form as the oracle).
 """
 from __future__ import annotations
 
@@ -45,19 +51,6 @@ def theta_crossing(p: float, q: float) -> float:
     return a / (a + b)
 
 
-def _binom_logpmf(c: float, w: float, prob: float) -> float:
-    """Stirling-free log pmf via lgamma; c, w may be fractional (MG
-    counters and weights are floats)."""
-    c = min(max(c, 0.0), w)
-    return (
-        math.lgamma(w + 1)
-        - math.lgamma(c + 1)
-        - math.lgamma(w - c + 1)
-        + c * math.log(prob)
-        + (w - c) * math.log1p(-prob)
-    )
-
-
 def auto_theta(
     counter_sets: Iterable[Sequence[float]],
     weights: Sequence[float],
@@ -66,23 +59,25 @@ def auto_theta(
     of the observed MG counters; return (theta*, p*, q*).
 
     ``counter_sets[i]`` are the counter values of cluster group i,
-    ``weights[i]`` its total weight W_i.
+    ``weights[i]`` its total weight W_i. Groups with ``W_i <= 0`` or no
+    counters are skipped.
     """
-    counter_sets = [np.asarray(cs, dtype=np.float64) for cs in counter_sets]
-    weights = [float(w) for w in weights]
+    cs, rests = [np.empty(0)], [np.empty(0)]
+    for counters, w in zip(counter_sets, weights):
+        counters, w = np.asarray(counters, dtype=np.float64), float(w)
+        if w > 0 and len(counters):
+            cs.append(np.clip(counters, 0.0, w))
+            rests.append(w - cs[-1])
+    c, rest = np.concatenate(cs), np.concatenate(rests)
+    # log-likelihood of every counter without the binomial coefficient,
+    # one row per grid probability
+    loglik = {pr: c * math.log(pr) + rest * math.log1p(-pr) for pr in _P_GRID + _Q_GRID}
     best = (-math.inf, 0.5, 0.01)
     for p in _P_GRID:
         for q in _Q_GRID:
             if q >= p:
                 continue
-            ll = 0.0
-            for cs, w in zip(counter_sets, weights):
-                if w <= 0 or len(cs) == 0:
-                    continue
-                for c in cs:
-                    ll += max(
-                        _binom_logpmf(c, w, p), _binom_logpmf(c, w, q)
-                    )
+            ll = np.maximum(loglik[p], loglik[q]).sum()
             if ll > best[0]:
                 best = (ll, p, q)
     _, p_star, q_star = best

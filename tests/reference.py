@@ -1,12 +1,16 @@
 """Set-based reference implementations the tests compare against.
 
 Each function here is the direct transcription of a paper definition
-over Python sets. ``src/`` keeps only the fast forms (the inverted
-``CenterIndex`` and the inverted-index second passes); these slow forms
-are the oracles that pin them down:
+over Python sets or a scalar loop. ``src/`` keeps only the fast forms
+(the bincount ``CenterIndex``, the closed-form ``auto_theta`` and the
+CSR second passes); these slow forms are the oracles that pin them down:
 
 * ``hamming`` / ``asymmetric_hamming``: the distances of paper §3 and
   §5.1;
+* ``LoopCenterIndex``: the nearest-center query as a Python loop over
+  every center (strict ``<``, so ties go to the lowest index);
+* ``auto_theta_lgamma``: the §5.4 likelihood heuristic with full
+  ``lgamma`` binomial log-pmfs, scored one counter at a time;
 * ``l1_broadcast``: all-pairs L1 between dense rows, the elementwise
   form ``binary_l1`` replaces with one matrix product;
 * ``score``, ``assign_left_biclustering`` and ``assign_left_bmf``: the
@@ -16,13 +20,15 @@ are the oracles that pin them down:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.distance import DEFAULT_ALPHA
 from repro.core.second_pass import BmfAssignment
+from repro.core.thresholds import _P_GRID, _Q_GRID, theta_crossing
 
 
 def hamming(x: Sequence[int], y: Sequence[int]) -> int:
@@ -39,6 +45,76 @@ def asymmetric_hamming(
     """
     sc, sp = set(center), set(point)
     return len(sp - sc) + alpha * len(sc - sp)
+
+
+class LoopCenterIndex:
+    """``CenterIndex`` with the overlap counted in a dict and the distance
+    to each center computed in a Python loop."""
+
+    def __init__(self, alpha: float = DEFAULT_ALPHA):
+        self.alpha = float(alpha)
+        self._sizes: list[int] = []
+        self._postings: Dict[int, list[int]] = {}
+
+    def add(self, support: Sequence[int]) -> int:
+        idx = len(self._sizes)
+        sup = set(int(v) for v in support)
+        self._sizes.append(len(sup))
+        for v in sup:
+            self._postings.setdefault(v, []).append(idx)
+        return idx
+
+    def nearest(self, point: Sequence[int]) -> tuple[int, float]:
+        if not self._sizes:
+            raise ValueError("no centers")
+        pts = set(int(v) for v in point)
+        overlaps: Dict[int, int] = {}
+        for v in pts:
+            for ci in self._postings.get(v, ()):
+                overlaps[ci] = overlaps.get(ci, 0) + 1
+        a = self.alpha
+        base = len(pts)
+        best_i, best_d = -1, float("inf")
+        for ci, size in enumerate(self._sizes):
+            d = base + a * size - (1.0 + a) * overlaps.get(ci, 0)
+            if d < best_d:
+                best_i, best_d = ci, d
+        return best_i, max(0.0, best_d)
+
+
+def _binom_logpmf(c: float, w: float, prob: float) -> float:
+    c = min(max(c, 0.0), w)
+    return (
+        math.lgamma(w + 1)
+        - math.lgamma(c + 1)
+        - math.lgamma(w - c + 1)
+        + c * math.log(prob)
+        + (w - c) * math.log1p(-prob)
+    )
+
+
+def auto_theta_lgamma(
+    counter_sets: Iterable[Sequence[float]], weights: Sequence[float]
+) -> Tuple[float, float, float]:
+    """(theta*, p*, q*) of the grid cell with the highest hard-assignment
+    log-likelihood ``sum log max(pmf_p(c), pmf_q(c))`` (first best wins)."""
+    counter_sets = [np.asarray(cs, dtype=np.float64) for cs in counter_sets]
+    weights = [float(w) for w in weights]
+    best = (-math.inf, 0.5, 0.01)
+    for p in _P_GRID:
+        for q in _Q_GRID:
+            if q >= p:
+                continue
+            ll = 0.0
+            for cs, w in zip(counter_sets, weights):
+                if w <= 0 or len(cs) == 0:
+                    continue
+                for c in cs:
+                    ll += max(_binom_logpmf(c, w, p), _binom_logpmf(c, w, q))
+            if ll > best[0]:
+                best = (ll, p, q)
+    _, p_star, q_star = best
+    return theta_crossing(p_star, q_star), p_star, q_star
 
 
 def l1_broadcast(X: np.ndarray, C: np.ndarray) -> np.ndarray:

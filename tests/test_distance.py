@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import CenterIndex, binary_l1
-from tests.reference import asymmetric_hamming, hamming, l1_broadcast
+from repro.core.distance import CenterIndex, as_support, binary_l1
+from repro.core.second_pass import assign_left_biclustering_fast, assign_left_bmf_fast
+from repro.core.sofa import SofaEngine, SofaParams
+from tests.reference import LoopCenterIndex, asymmetric_hamming, hamming, l1_broadcast
 
 supports = st.lists(st.integers(0, 40), max_size=20).map(lambda l: sorted(set(l)))
 
@@ -65,6 +67,29 @@ class TestAsymmetricHamming:
         ov = len(set(c) & set(p))
         expect = len(p) + alpha * len(c) - (1 + alpha) * ov
         assert asymmetric_hamming(c, p, alpha) == pytest.approx(expect)
+
+
+class TestAsSupport:
+    def test_sorted_distinct_int64(self):
+        sup = as_support([5, 1, 5, 3, 1])
+        assert sup.dtype == np.int64 and sup.tolist() == [1, 3, 5]
+
+    def test_none_and_empty_are_the_empty_support(self):
+        assert as_support(None).tolist() == as_support([]).tolist() == []
+        assert as_support(None).dtype == np.int64
+
+    def test_negative_id_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            as_support(np.array([3, -1]))
+
+    @pytest.mark.parametrize("run", [
+        lambda: SofaEngine(SofaParams(k=2, c_max=4, mg_capacity=8)).push([3, -1]),
+        lambda: assign_left_biclustering_fast([[3, -1]], [[3, 4]]),
+        lambda: assign_left_bmf_fast([[3, -1]], [[3, 4]]),
+    ], ids=["push", "biclustering", "bmf"])
+    def test_negative_id_raises_on_every_sparse_path(self, run):
+        with pytest.raises(ValueError, match="negative"):
+            run()
 
 
 class TestCenterIndex:
@@ -127,6 +152,23 @@ class TestCenterIndex:
             p = sorted(set(rng.integers(0, 12, rng.integers(0, 6)).tolist()))
             brute = [hamming(c, p) for c in centers]
             assert ix.nearest(p) == (int(np.argmin(brute)), min(brute))
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_loop_oracle_exactly(self, alpha, seed):
+        """Same (index, distance) as the per-center loop, bit for bit. Ids
+        from a small range and repeated centers make ties common."""
+        rng = np.random.default_rng(seed)
+        ix, ref = CenterIndex(alpha), LoopCenterIndex(alpha)
+        for _ in range(30):
+            c = rng.integers(0, 10, rng.integers(0, 6)).tolist()
+            assert ix.add(c) == ref.add(c)
+            for _ in range(5):
+                p = rng.integers(0, 10, rng.integers(0, 7)).tolist()
+                got = ix.nearest(p)
+                assert got == ref.nearest(p)
+                assert type(got[0]) is int and type(got[1]) is float
 
 
 class TestBinaryL1:

@@ -26,6 +26,13 @@ def random_instance(rng, m=40, n=60, k=6):
     return stream, clusters
 
 
+def tie_heavy_instance(rng, m=12, n=8, k=10, size=3):
+    """Many equal-size clusters over few ids: scores and ratios tie often."""
+    stream = [rng.integers(0, n, rng.integers(0, 7)).tolist() for _ in range(m)]
+    clusters = [rng.choice(n, size, replace=False).tolist() for _ in range(k)]
+    return stream, clusters
+
+
 class TestBiclusteringEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances(self, seed):
@@ -54,6 +61,13 @@ class TestBiclusteringEquivalence:
     def test_hypothesis_instances(self, seed):
         rng = np.random.default_rng(seed)
         stream, clusters = random_instance(rng, m=15, n=25, k=4)
+        assert assign_left_biclustering_fast(stream, clusters) == \
+            assign_left_biclustering(stream, clusters)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_tie_heavy(self, seed):
+        stream, clusters = tie_heavy_instance(np.random.default_rng(seed))
         assert assign_left_biclustering_fast(stream, clusters) == \
             assign_left_biclustering(stream, clusters)
 
@@ -98,6 +112,16 @@ class TestBmfEquivalence:
         ref = assign_left_bmf(stream, clusters)
         assert fast.memberships == ref.memberships
         assert fast.choice_scores == ref.choice_scores
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_tie_heavy(self, seed):
+        stream, clusters = tie_heavy_instance(np.random.default_rng(seed))
+        fast = assign_left_bmf_fast(stream, clusters)
+        ref = assign_left_bmf(stream, clusters)
+        assert fast.memberships == ref.memberships
+        assert fast.choice_scores == ref.choice_scores
+        assert np.array_equal(fast.cluster_scores, ref.cluster_scores)
 
     def test_planted_dataset(self):
         g = sd.planted_zipf_bipartite(

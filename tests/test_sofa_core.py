@@ -1,8 +1,11 @@
 """Tests for the sequential SOFA engine (Algorithm 2, §3.2)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
+from repro.core import sofa as sofa_mod
 from repro.core.sofa import (
     CenterState,
     SofaParams,
@@ -11,7 +14,10 @@ from repro.core.sofa import (
     sofa_pass,
 )
 from repro.core.mg import MisraGries
+from repro.eval.datasets import DATASET_NAMES, load_dataset
+from repro.eval.harness import sofa_params_for
 from repro.eval.quality import jaccard_quality
+from tests.reference import LoopCenterIndex
 
 
 def make_params(**kw):
@@ -107,6 +113,54 @@ class TestMechanics:
         assert b > 0
         # loose upper bound: c_max centers x (support + sketch)
         assert b <= p.c_max * (8 * 60 + 8 + 16 * p.mg_capacity)
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_first_pass_equals_loop_index_run(name, monkeypatch):
+    """The bincount CenterIndex leaves the first pass bit-identical to a
+    run on the per-center loop index: centers, weights, sketches,
+    restarts and final LB (§6.2 parameters, k=4)."""
+    g = load_dataset(name)
+    stream = [a.tolist() for a in g.adj]
+    params = sofa_params_for(g, 4)
+
+    def dump(res):
+        return ([(c.support.tolist(), c.weight, c.sketch.to_tuples(), c.sketch.total)
+                 for c in res.centers], res.n_restarts, res.n_processed, res.final_lb)
+
+    got = dump(sofa_pass(stream, params, m_hint=g.n_left))
+    monkeypatch.setattr(sofa_mod, "CenterIndex", LoopCenterIndex)
+    assert got == dump(sofa_pass(stream, params, m_hint=g.n_left))
+
+
+class TestInvariants:
+    """Weight and sketch mass are conserved across restarts and merges."""
+
+    vertices = st.one_of(st.none(), st.lists(st.integers(0, 30), max_size=8))
+
+    @given(c_max=st.integers(3, 6), tail=st.lists(vertices, max_size=60),
+           split=st.integers(0, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_and_sketch_mass_conserved(self, c_max, tail, split):
+        # c_max + 1 disjoint vertices up front are each at distance
+        # 1 + alpha > f from every center, so they all open a center and
+        # the budget forces a restart
+        stream = [[100 + i] for i in range(c_max + 1)] + tail
+        params = make_params(k=2, c_max=c_max, mg_capacity=4)
+        mass = sum(len(set(v or ())) for v in stream)
+
+        full = sofa_pass(stream, params)
+        assert full.n_restarts > 0
+        assert full.n_processed == len(stream)
+        assert sum(c.weight for c in full.centers) == len(stream)
+        assert sum(c.sketch.total for c in full.centers) == mass
+
+        halves = [sofa_pass(stream[:split], params), sofa_pass(stream[split:], params)]
+        merged = merge_center_states(
+            sorted((c for h in halves for c in h.centers), key=lambda c: -c.weight), params)
+        assert sum(h.n_processed for h in halves) == len(stream)
+        assert sum(c.weight for c in merged.centers) == len(stream)
+        assert sum(c.sketch.total for c in merged.centers) == mass
 
 
 class TestRecovery:

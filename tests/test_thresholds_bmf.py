@@ -1,4 +1,5 @@
 """Tests for θ selection (§5.4) and the BMF factor/metrics glue (§2.2)."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from repro.core.thresholds import (
     auto_theta_from_groups,
     theta_crossing,
 )
+from repro.eval.datasets import DATASET_NAMES, load_dataset
+from repro.eval.harness import sofa_params_for
 from tests.reference import (
     BooleanFactors,
     assign_left_bmf,
+    auto_theta_lgamma,
     factors_from_memberships,
 )
 
@@ -75,6 +79,22 @@ class TestAutoTheta:
         )
         th, p, q = auto_theta_from_groups(res.groups)
         assert 0.05 < th < 0.95
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_equals_lgamma_oracle_on_stand_ins(self, name):
+        """Dropping the binomial coefficient picks the same grid cell as
+        the full lgamma likelihood on every stand-in's k=16 groups."""
+        g = load_dataset(name)
+        params = dataclasses.replace(sofa_params_for(g, 16), skip_kmedians=False)
+        res = sofa_pass([a.tolist() for a in g.adj], params, m_hint=g.n_left)
+        assert auto_theta_from_groups(res.groups) == auto_theta_lgamma(
+            [list(gr.sketch.counters.values()) for gr in res.groups],
+            [gr.total_weight for gr in res.groups],
+        )
+
+    def test_empty_input_matches_oracle(self):
+        for sets, ws in (([], []), ([[]], [0.0]), ([[1.0, 2.0]], [0.0])):
+            assert auto_theta(sets, ws) == auto_theta_lgamma(sets, ws)
 
     def test_line_search_grid_matches_paper(self):
         assert LINE_SEARCH_THETAS == (0.3, 0.4, 0.5, 0.6, 0.7)
